@@ -12,7 +12,7 @@
 //! | `omission(p,ph)` | shadow, minus the periodic edge drops |
 //! | `equivocate(split,s)` | shadow until `s`, then `0` below / `1` above the split |
 //! | `adaptive(schedule)` | shadow until a member's turn, then the flipped story |
-//! | `random-liar` | a fresh [`call_rng`] draw per (lane, edge) |
+//! | `random-liar` | a [`call_value`] draw per (lane, edge), all lanes of an edge in one pass |
 //!
 //! All six choose their fault set through a seed-free
 //! [`FaultSelection`], so one `select` call covers every lane
@@ -20,10 +20,11 @@
 //! masks without consulting the scalar lanes at all), and all six
 //! classify payloads into lane masks in one [`BatchAdversary::lies`]
 //! call per round — skipping per-lane view assembly and payload
-//! interning entirely. The per-lane draws of `random-liar` are the one
-//! irreducibly scalar part (each lane has its own seed), but the RNG is
-//! stateless per (round, sender, recipient) call, so the vector path's
-//! call order is free.
+//! interning entirely. `random-liar` still draws per lane (each lane has
+//! its own seed), but a draw is the closed form [`call_value`] of the
+//! lane's seed and a per-edge key, the same formula the scalar strategy
+//! uses: no RNG state is built, the call order is free, and one pass
+//! fills an edge's masks for all 64 lanes.
 //!
 //! The wrapped scalar lanes stay reachable through
 //! [`BatchAdversary::lane`]: mixed-width kernels (king-shift,
@@ -36,8 +37,7 @@ use sg_sim::batch::{BatchAdversary, LaneView};
 use sg_sim::{Adversary, ProcessId, ProcessSet};
 
 use crate::selection::FaultSelection;
-use crate::util::call_rng;
-use rand::Rng;
+use crate::util::{call_key, call_value};
 
 /// Which vector-capable family a [`BatchFamily`] plays, with the same
 /// parameters as the scalar constructor it mirrors.
@@ -277,10 +277,12 @@ impl BatchAdversary for BatchFamily<'_> {
                 }
             }
             VectorFamily::RandomLiar { seeds } => {
-                // Per-lane draws are unavoidable (each lane has its own
-                // seed), but the per-call RNG is stateless, so the only
-                // contract is (seed, round, sender, recipient) — the
-                // same mix the scalar path feeds `call_rng`.
+                // Each lane draws from its own seed, but a draw is a
+                // closed form of `seed ^ key` with one key per edge, so
+                // one branch-free pass over the lanes classifies the
+                // whole edge (lanes outside `mask` are computed and
+                // discarded).
+                let span = view.domain.size();
                 for f in set.iter() {
                     let mask = view.present[f.index()] & view.active;
                     if mask == 0 {
@@ -290,14 +292,15 @@ impl BatchAdversary for BatchFamily<'_> {
                         if r == f.index() {
                             continue;
                         }
-                        let mut w = mask;
-                        while w != 0 {
-                            let lane = w.trailing_zeros() as usize;
-                            w &= w - 1;
-                            let mut rng = call_rng(seeds[lane], view.round, f, ProcessId(r));
-                            let v: u16 = rng.gen_range(0..view.domain.size());
-                            Self::constant(view, f.index(), r, v, 1u64 << lane, net_one, net_zero);
+                        let key = call_key(view.round, f, ProcessId(r));
+                        let (mut one, mut zero) = (0u64, 0u64);
+                        for (lane, &seed) in seeds.iter().enumerate() {
+                            let v = call_value(seed ^ key, span);
+                            one |= u64::from(v == 1) << lane;
+                            zero |= u64::from(v == 0) << lane;
                         }
+                        net_one[f.index() * n + r] |= one & mask;
+                        net_zero[f.index() * n + r] |= zero & mask;
                     }
                 }
             }
@@ -306,5 +309,117 @@ impl BatchAdversary for BatchFamily<'_> {
 
     fn lane(&mut self, lane: usize) -> &mut dyn Adversary {
         self.lanes[lane].as_mut()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::sync::Arc;
+
+    use sg_sim::{AdversaryView, Payload, Value, ValueDomain};
+
+    use super::*;
+    use crate::RandomLiar;
+
+    /// The vector `random-liar` arm against the scalar strategy it
+    /// mirrors, edge by edge and lane by lane, at full width: 64 slots
+    /// and 64 lanes, with retired lanes and per-slot holes in `present`.
+    /// Sweep reports are too coarse for this — at these sizes most
+    /// seeds' samples come out identical whatever the liars say.
+    #[test]
+    fn random_liar_lies_match_the_scalar_payloads_at_full_width() {
+        let (n, t) = (64, 21);
+        let seeds: Vec<u64> = (0..64u64)
+            .map(|i| (i + 1).wrapping_mul(0x2545_F491_4F6C_DD1D))
+            .collect();
+        let selection = FaultSelection::with_source();
+        let mut scalar: Vec<RandomLiar> = seeds
+            .iter()
+            .map(|&seed| RandomLiar::new(selection.clone(), seed))
+            .collect();
+        let mut lanes: Vec<Box<dyn Adversary>> = scalar
+            .iter()
+            .map(|a| Box::new(a.clone()) as Box<dyn Adversary>)
+            .collect();
+        let mut batch = BatchFamily::new(
+            VectorFamily::RandomLiar {
+                seeds: seeds.clone(),
+            },
+            selection,
+            &mut lanes,
+        );
+        let (mut faulty, mut fault_sets) = (vec![0u64; n], Vec::new());
+        assert!(batch.corrupt_lanes(n, t, ProcessId(0), &mut faulty, &mut fault_sets));
+        let set = fault_sets[0].clone();
+
+        // Slot j stays silent in lane j; lanes 61..64 are retired.
+        let present: Vec<u64> = (0..n).map(|j| !(1u64 << j)).collect();
+        let (one, zero) = (present.clone(), vec![0u64; n]);
+        let active = !0u64 >> 3;
+        let single = Some(Arc::new(Payload::single(Value(1))));
+        for round in 1..=4 {
+            let view = LaneView {
+                round,
+                total_rounds: 8,
+                n,
+                t,
+                source: ProcessId(0),
+                source_value: Value(1),
+                domain: ValueDomain::binary(),
+                present: &present,
+                one: &one,
+                zero: &zero,
+                faulty: &faulty,
+                fault_sets: &fault_sets,
+                active,
+            };
+            let (mut net_one, mut net_zero) = (vec![0u64; n * n], vec![0u64; n * n]);
+            batch.lies(&view, &mut net_one, &mut net_zero);
+
+            for (lane, liar) in scalar.iter_mut().enumerate() {
+                let bit = 1u64 << lane;
+                let shadows: Vec<Option<Arc<Payload>>> = (0..n)
+                    .map(|j| {
+                        let shadowed = set.contains(ProcessId(j)) && present[j] & bit != 0;
+                        if shadowed {
+                            single.clone()
+                        } else {
+                            None
+                        }
+                    })
+                    .collect();
+                let honest = vec![None; n];
+                let scalar_view = AdversaryView {
+                    round,
+                    total_rounds: 8,
+                    n,
+                    t,
+                    source: ProcessId(0),
+                    source_value: Value(1),
+                    domain: ValueDomain::binary(),
+                    faulty: &set,
+                    honest_broadcast: &honest,
+                    shadow_broadcast: &shadows,
+                    sigs: None,
+                };
+                for f in set.iter() {
+                    for r in (0..n).filter(|&r| r != f.index()) {
+                        let payload = liar.payload(f, ProcessId(r), &scalar_view);
+                        let v = if active & bit == 0 {
+                            None
+                        } else {
+                            payload.value_at(0)
+                        };
+                        let edge = f.index() * n + r;
+                        let got = (net_one[edge] & bit != 0, net_zero[edge] & bit != 0);
+                        assert_eq!(
+                            got,
+                            (v == Some(Value(1)), v == Some(Value(0))),
+                            "round {round}, lane {lane}, edge {f:?}->{r}"
+                        );
+                    }
+                }
+            }
+        }
     }
 }

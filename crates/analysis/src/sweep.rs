@@ -716,6 +716,26 @@ impl SweepPlan {
         stream.wrapping_add(si)
     }
 
+    /// Checks the plan before it runs: a non-empty grid, and every
+    /// config's `(n, t)` accepted by its spec. The executor panics on a
+    /// plan this rejects; front doors (the CLI, the daemon) call it
+    /// first so bad input becomes a structured error instead.
+    pub fn validate(&self) -> Result<(), String> {
+        if self.configs.is_empty() || self.adversaries.is_empty() || self.seeds_per_cell == 0 {
+            return Err(
+                "empty sweep grid (configs, adversaries, and seeds_per_cell must all be non-empty)"
+                    .to_string(),
+            );
+        }
+        for config in &self.configs {
+            config
+                .spec
+                .validate(config.n, config.t)
+                .map_err(|e| format!("{}: {e}", config.spec.name()))?;
+        }
+        Ok(())
+    }
+
     /// Total executions the plan describes.
     pub fn total_runs(&self) -> u64 {
         self.configs.len() as u64 * self.adversaries.len() as u64 * self.seeds_per_cell
@@ -725,7 +745,7 @@ impl SweepPlan {
     ///
     /// # Panics
     ///
-    /// Panics if the plan is empty, a spec rejects its `(n, t)`, or any
+    /// Panics if [`SweepPlan::validate`] rejects the plan, or if any
     /// execution violates agreement — sweeps double as correctness
     /// checks, exactly like the sequential harness they replaced.
     pub fn run(&self) -> SweepReport {

@@ -182,9 +182,10 @@ fn bench_batch_runs(c: &mut Criterion) {
 /// lanes). Two families bracket the effect: `crash` is deterministic, so
 /// the vector path is pure mask algebra and the ratio is the full
 /// materialization cost; `random-liar` must reproduce the scalar path's
-/// per-edge RNG draws for bit-identity, so its ratio shows the
-/// irreducible RNG floor. `tests/batch_identity.rs` pins both paths
-/// bit-identical.
+/// per-(lane, edge) draws for bit-identity, which the vector path
+/// evaluates in closed form for all 64 lanes of an edge in one pass, so
+/// its ratio shows what those draws still cost. `tests/batch_identity.rs`
+/// pins both paths bit-identical.
 fn bench_batch_adversaries(c: &mut Criterion) {
     let (spec, config) = bench_config();
     let mut group = c.benchmark_group("run_loop_optimal_king_n16_t5");

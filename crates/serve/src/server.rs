@@ -910,24 +910,6 @@ impl StreamState {
     }
 }
 
-/// Validates a submitted plan before it reaches the worker pool, so
-/// rejections are structured errors instead of worker panics.
-fn validate_plan(plan: &SweepPlan) -> Result<(), String> {
-    if plan.configs.is_empty() || plan.adversaries.is_empty() || plan.seeds_per_cell == 0 {
-        return Err(
-            "empty sweep grid (configs, adversaries, and seeds_per_cell must all be non-empty)"
-                .to_string(),
-        );
-    }
-    for config in &plan.configs {
-        config
-            .spec
-            .validate(config.n, config.t)
-            .map_err(|e| format!("{}: {e}", config.spec.name()))?;
-    }
-    Ok(())
-}
-
 /// How a connection's event loop ended, deciding the teardown order.
 #[derive(PartialEq, Eq)]
 enum ConnExit {
@@ -1154,7 +1136,10 @@ fn connection_events(
                 shared.begin_drain();
             }
             ConnEvent::Request(Ok(Request::Submit { plan, deadline_ms })) => {
-                if let Err(detail) = validate_plan(&plan) {
+                // Validate before the plan reaches the worker pool, so
+                // rejections are structured errors instead of worker
+                // panics.
+                if let Err(detail) = plan.validate() {
                     sink.send(&Frame::Error {
                         code: ErrorCode::Rejected,
                         detail,

@@ -742,6 +742,10 @@ fn open_journal(path: &str) -> shifting_gears::journal::Journal {
 
 fn cmd_sweep(flags: &HashMap<String, String>, toggles: &[String]) {
     let plan = sweep_plan_from_flags(flags, toggles);
+    if let Err(e) = plan.validate() {
+        eprintln!("invalid sweep: {e}");
+        exit(2);
+    }
     let started = std::time::Instant::now();
     let (report, cached) = match flags.get("journal") {
         None => (plan.run(), None),

@@ -353,3 +353,44 @@ fn jobs_and_batching_commute_on_a_mixed_grid() {
     assert_eq!(batched_1, scalar_1);
     assert_eq!(batched_1, scalar_8);
 }
+
+/// The vector random-liar path at full lane width: the kernel-backed
+/// specs at n ∈ {40, 64} (n = 64 fills every bit of a per-slot word)
+/// and design resilience, over 65 seeds — one full 64-lane chunk plus a
+/// 1-lane chunk. The vectorized draws, the per-lane scalar bridge and
+/// the scalar engine must produce one report. The source is corrupted
+/// too: with a correct source, validity fixes every run and no draw
+/// reaches a sample. Even so, samples are coarse at these sizes and many
+/// seeds share one; the lie masks themselves are pinned lane by lane by
+/// the unit test in `sg_adversary`'s `batch` module.
+#[test]
+fn random_liar_vector_path_matches_at_full_width() {
+    let _serial = TOGGLE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    for spec in [
+        AlgorithmSpec::OptimalKing,
+        AlgorithmSpec::PhaseKing,
+        AlgorithmSpec::PhaseQueen,
+    ] {
+        for n in [40, 64] {
+            let t = spec.max_resilience(n);
+            let plan = SweepPlan::new(
+                vec![SweepConfig::traced(spec, n, t)],
+                vec![AdversaryFamily::random_liar(FaultSelection::with_source())],
+                65,
+            );
+            set_batch_runs(true);
+            set_batch_adversaries(true);
+            let vectorized = plan.run_with_jobs(1);
+            set_batch_adversaries(false);
+            let bridged = plan.run_with_jobs(1);
+            set_batch_adversaries(true);
+            set_batch_runs(false);
+            let scalar = plan.run_with_jobs(1);
+            set_batch_runs(true);
+            assert_eq!(vectorized, bridged, "{spec:?} n={n}: vector != bridge");
+            assert_eq!(vectorized, scalar, "{spec:?} n={n}: vector != scalar");
+            assert_eq!(vectorized.fingerprint(), bridged.fingerprint());
+            assert_eq!(vectorized.fingerprint(), scalar.fingerprint());
+        }
+    }
+}

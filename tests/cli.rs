@@ -348,3 +348,19 @@ fn sweep_accepts_the_widened_adversary_vocabulary() {
         assert!(stdout.contains("report fingerprint:"), "{stdout}");
     }
 }
+
+/// A sweep grid whose `(n, t)` its spec rejects is bad input, not a
+/// crash: `sg sweep` validates the plan up front (the check the daemon
+/// applies to `sg submit`) and exits 2 with one stderr line.
+#[test]
+fn sweep_over_resilience_exits_2_without_panicking() {
+    let out = Command::new(env!("CARGO_BIN_EXE_sg"))
+        .args(["sweep", "--alg", "phase-king", "--n", "10", "--t", "3"])
+        .output()
+        .expect("spawn sg");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert_eq!(stderr.lines().count(), 1, "{stderr}");
+    assert!(stderr.contains("phase-king"), "{stderr}");
+}
