@@ -27,11 +27,7 @@
 //! fills an edge's masks for all 64 lanes.
 //!
 //! The wrapped scalar lanes stay reachable through
-//! [`BatchAdversary::lane`]: mixed-width kernels (king-shift,
-//! dynamic-king) collect real payload objects for their tree-prefix
-//! rounds from the same pooled adversaries, with identical per-lane
-//! seeds, so prefix (scalar calls) and tail (vector masks) compose
-//! bit-exactly.
+//! [`BatchAdversary::lane`], the trait's per-lane bridge hook.
 
 use sg_sim::batch::{BatchAdversary, LaneView};
 use sg_sim::{Adversary, ProcessId, ProcessSet};
@@ -80,8 +76,8 @@ pub enum VectorFamily {
 
 /// A batch-aware adversary for one of the [`VectorFamily`] strategies,
 /// wrapping the per-lane scalar adversaries of the same family (same
-/// parameters, same per-lane seeds) for the scalar-bridge duties that
-/// remain: mixed-width kernels' prefix rounds.
+/// parameters, same per-lane seeds), which [`BatchAdversary::lane`]
+/// exposes.
 pub struct BatchFamily<'a> {
     family: VectorFamily,
     selection: FaultSelection,
@@ -233,8 +229,8 @@ impl BatchAdversary for BatchFamily<'_> {
                         continue;
                     }
                     // The split stories replace the shadow at its length
-                    // (single values on the narrow path), for lanes in
-                    // which the shadow exists at all.
+                    // (single values in a batch), for lanes in which the
+                    // shadow exists at all.
                     let mask = view.present[f] & view.active;
                     if mask == 0 {
                         continue;

@@ -513,62 +513,6 @@ thread_local! {
     static BATCH_SCRATCH: RefCell<sg_sim::BatchArena> = RefCell::new(sg_sim::BatchArena::new());
 }
 
-/// One pooled lock-step kernel, keyed by the exact `(spec, config)` pair
-/// it was built for. Kernels are reset per batch by the driver
-/// ([`sg_sim::run_batch_with`] calls [`sg_sim::BatchKernel::reset`]), so
-/// recycling one across chunks changes allocation behaviour only — the
-/// mixed-width gear kernels additionally recycle their per-lane protocol
-/// instances through `Protocol::reset`, which is where the win lives.
-struct PooledBatchKernel {
-    spec: AlgorithmSpec,
-    config: RunConfig,
-    kernel: Box<dyn sg_sim::BatchKernel + Send>,
-}
-
-/// How many `(spec, config)` kernels each worker thread keeps warm.
-const BATCH_KERNEL_POOL_CAP: usize = 4;
-
-thread_local! {
-    /// Per-thread MRU cache of lock-step kernels, recycled across chunks
-    /// of the same cell (and across cells of the same shape).
-    static BATCH_KERNEL_POOL: RefCell<Vec<PooledBatchKernel>> = const { RefCell::new(Vec::new()) };
-}
-
-/// Runs `body` with a lock-step kernel for `(spec, config)`, pooled per
-/// thread when instance pooling is on; `None` when the spec/config pair
-/// has no batch kernel (the caller falls back to the scalar executor).
-fn with_batch_kernel<R>(
-    spec: AlgorithmSpec,
-    config: RunConfig,
-    body: impl FnOnce(&mut dyn sg_sim::BatchKernel) -> R,
-) -> Option<R> {
-    if !sg_sim::instance_pooling_enabled() {
-        let mut kernel = sg_core::batch_kernel(&spec, &config)?;
-        return Some(body(kernel.as_mut()));
-    }
-    BATCH_KERNEL_POOL.with(|pool| {
-        let hit = {
-            let mut pool = pool.borrow_mut();
-            pool.iter()
-                .position(|e| e.spec == spec && e.config == config)
-                .map(|idx| pool.remove(idx))
-        };
-        let mut entry = match hit {
-            Some(e) => e,
-            None => PooledBatchKernel {
-                spec,
-                config,
-                kernel: sg_core::batch_kernel(&spec, &config)?,
-            },
-        };
-        let out = body(entry.kernel.as_mut());
-        let mut pool = pool.borrow_mut();
-        pool.insert(0, entry);
-        pool.truncate(BATCH_KERNEL_POOL_CAP);
-        Some(out)
-    })
-}
-
 /// The vector (single-[`sg_sim::BatchAdversary::lies`]-call) form of a
 /// family's wire shape, where the batch adversary layer covers it:
 /// the six named families whose fault selection is lane-uniform and
@@ -871,10 +815,10 @@ impl SweepPlan {
     ///
     /// When batching is on and the cell has a lock-step kernel (the king
     /// and phase families on eligible configurations), the whole group
-    /// executes in
-    /// one [`sg_sim::run_batch`] call; everything else — other specs,
-    /// edge-faulting adversaries, `--no-batch` — falls back to the scalar
-    /// executor run by run. Both paths emit identical samples.
+    /// executes in one [`sg_sim::run_batch`] call; everything else —
+    /// other specs, edge-faulting adversaries, `--no-batch` — falls back
+    /// to the scalar executor run by run. Both paths emit identical
+    /// samples.
     fn run_chunk(&self, ci: usize, ai: usize, si0: u64, len: u64) -> Vec<Sample> {
         if len > 1 && sg_sim::batch_runs_enabled() {
             if let Some(samples) = self.run_chunk_lockstep(ci, ai, si0, len) {
@@ -894,55 +838,51 @@ impl SweepPlan {
     /// `lies` call per round) when the family's wire shape has one and
     /// the `--no-batch-adversary` escape hatch is off; otherwise every
     /// lane bridges to its scalar adversary in the scalar engine's exact
-    /// call order. Lanes a mixed-width kernel declines mid-run (a
-    /// `dynamic-king` gear vote that diverges from its scalar poll)
-    /// come back marked `deferred` and re-run on the scalar executor,
-    /// spliced into the chunk's samples at their seed position.
+    /// call order.
     fn run_chunk_lockstep(&self, ci: usize, ai: usize, si0: u64, len: u64) -> Option<Vec<Sample>> {
         let config = &self.configs[ci];
         let run_config = config.run_config();
+        let mut kernel = sg_core::batch_kernel(&config.spec, &run_config)?;
+        let kernel = kernel.as_mut();
         let family = &self.adversaries[ai];
         let seeds: Vec<u64> = (0..len).map(|k| self.seed_for(ci, ai, si0 + k)).collect();
-        with_batch_kernel(config.spec, run_config, |kernel| {
-            BATCH_SCRATCH.with(|scratch| {
-                let arena = &mut scratch.borrow_mut();
-                let ok =
-                    with_batch_adversaries(family, &seeds, |adversaries| {
-                        match vector_family(family, &seeds) {
-                            Some((vector, selection)) if sg_sim::batch_adversaries_enabled() => {
-                                let mut batch = BatchFamily::new(vector, selection, adversaries);
-                                sg_sim::run_batch_with(arena, &run_config, kernel, &mut batch)
-                            }
-                            _ => sg_sim::run_batch(arena, &run_config, kernel, adversaries),
-                        }
-                    });
-                if !ok {
-                    return None;
-                }
-                let mut samples = Vec::with_capacity(len as usize);
-                for (lane, (result, seed)) in arena.results().iter().zip(&seeds).enumerate() {
-                    if result.deferred {
-                        samples.push(self.run_one(ci, ai, si0 + lane as u64));
-                        continue;
+        BATCH_SCRATCH.with(|scratch| {
+            let arena = &mut scratch.borrow_mut();
+            let ok = with_batch_adversaries(family, &seeds, |adversaries| {
+                match vector_family(family, &seeds) {
+                    Some((vector, selection)) if sg_sim::batch_adversaries_enabled() => {
+                        let mut batch = BatchFamily::new(vector, selection, adversaries);
+                        sg_sim::run_batch_with(arena, &run_config, kernel, &mut batch)
                     }
+                    _ => sg_sim::run_batch(arena, &run_config, kernel, adversaries),
+                }
+            });
+            if !ok {
+                return None;
+            }
+            let samples = arena
+                .results()
+                .iter()
+                .zip(&seeds)
+                .map(|(result, seed)| {
                     assert!(
                         result.agreement,
                         "{} violated agreement under {} at seed {seed}",
                         config.spec.name(),
                         family.name,
                     );
-                    samples.push(Sample {
+                    Sample {
                         lock_in: result.lock_in as u64,
                         discoveries: result.discoveries,
                         total_bits: result.total_bits,
                         max_local_ops: result.max_local_ops,
                         rounds: result.rounds_used as u64,
                         early_stopped: result.early_stopped,
-                    });
-                }
-                Some(samples)
-            })
-        })?
+                    }
+                })
+                .collect();
+            Some(samples)
+        })
     }
 
     /// One execution: cell `(ci, ai)`, run `si`, on this thread's

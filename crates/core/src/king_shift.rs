@@ -121,12 +121,6 @@ impl KingShift {
         }
     }
 
-    /// The gear box running the shift (inspection hook for tests and
-    /// the batch kernel's per-lane instances).
-    pub fn gear(&self) -> &GearBox {
-        &self.gear
-    }
-
     /// The A-prefix machine (inspection hook for tests).
     pub fn prefix(&self) -> &GearedProtocol {
         self.gear.prefix()

@@ -246,13 +246,11 @@ impl BatchKernel for PhaseBatchKernel {
 }
 
 /// The batch kernel for `spec` under `config`, if any family provides
-/// one: `optimal-king` ([`crate::king_batch_kernel`]), `phase-king`,
-/// `phase-queen`, or the gear-shifting `king-shift` / `dynamic-king`
-/// pair ([`crate::gear_batch_kernel`], a mixed-width kernel running the
-/// tree prefix wide and the king tail narrow), each on a valid
-/// binary-domain, unauthenticated configuration with a binary source
-/// value and at most 64 processors. Everything else signals the caller
-/// to take the scalar path.
+/// one: `optimal-king` ([`crate::king_batch_kernel`]), `phase-king` or
+/// `phase-queen`, each on a valid binary-domain, unauthenticated
+/// configuration with a binary source value and at most 64 processors.
+/// Everything else — the gear-shifting `king-shift` / `dynamic-king`
+/// pair included — signals the caller to take the scalar path.
 pub fn batch_kernel(
     spec: &AlgorithmSpec,
     config: &RunConfig,
@@ -268,10 +266,6 @@ pub fn batch_kernel(
     let rule = match spec {
         AlgorithmSpec::OptimalKing => {
             return crate::king_batch_kernel(spec, config)
-                .map(|k| Box::new(k) as Box<dyn BatchKernel + Send>);
-        }
-        AlgorithmSpec::KingShift { .. } | AlgorithmSpec::DynamicKing { .. } => {
-            return crate::gear_batch_kernel(spec, config)
                 .map(|k| Box::new(k) as Box<dyn BatchKernel + Send>);
         }
         AlgorithmSpec::PhaseKing => PhaseRule::King,
@@ -304,12 +298,12 @@ mod tests {
     }
 
     #[test]
-    fn five_families_get_kernels() {
+    fn only_king_and_phase_families_get_kernels() {
         assert!(batch_kernel(&AlgorithmSpec::OptimalKing, &config(16, 5)).is_some());
         assert!(batch_kernel(&AlgorithmSpec::PhaseKing, &config(16, 3)).is_some());
         assert!(batch_kernel(&AlgorithmSpec::PhaseQueen, &config(16, 3)).is_some());
-        assert!(batch_kernel(&AlgorithmSpec::KingShift { b: 3 }, &config(16, 5)).is_some());
-        assert!(batch_kernel(&AlgorithmSpec::DynamicKing { b: 3 }, &config(16, 5)).is_some());
+        assert!(batch_kernel(&AlgorithmSpec::KingShift { b: 3 }, &config(16, 5)).is_none());
+        assert!(batch_kernel(&AlgorithmSpec::DynamicKing { b: 3 }, &config(16, 5)).is_none());
         assert!(batch_kernel(&AlgorithmSpec::Hybrid { b: 3 }, &config(16, 5)).is_none());
     }
 

@@ -34,17 +34,6 @@
 //! the `sg-trace/1` call-order contract is untouched. The vector path is
 //! *absent, never wrong*: both paths are bit-identical by construction.
 //!
-//! # Mixed-width kernels
-//!
-//! Gear-shifting families (`king-shift`, `dynamic-king`) run a tree
-//! prefix whose payloads do not fit one bit per lane. Their kernels
-//! implement [`BatchKernel::wide_round`]: lanes still in the prefix are
-//! executed internally (per-lane scalar instances, reported back through
-//! the `handled` mask), while lanes whose king tail has been seeded stay
-//! on the narrow bitwise path. Lanes whose dynamic gear votes diverge
-//! from the batch retire through the `deferred` mask and are re-run by
-//! the caller on the scalar engine — again absent, never wrong.
-//!
 //! Per-run outputs are bit-identical to the scalar path by construction:
 //! the adversary sees semantically equal views in the same call order,
 //! tallies reproduce [`crate::PackedBallots`] classification exactly (first
@@ -252,7 +241,7 @@ pub struct LaneView<'a> {
     /// Each lane's fault set, in lane order.
     pub fault_sets: &'a [ProcessSet],
     /// Lanes the adversary must fill this round; all other lanes are
-    /// retired or handled elsewhere and must be left untouched.
+    /// retired and must be left untouched.
     pub active: u64,
 }
 
@@ -271,9 +260,8 @@ pub struct LaneView<'a> {
 ///   payloads into lane masks in one [`BatchAdversary::lies`] call.
 ///
 /// Either way, [`BatchAdversary::lane`] exposes the underlying scalar
-/// adversary of a lane so mixed-width kernels (see
-/// [`BatchKernel::wide_round`]) can collect real payload objects for
-/// prefix rounds whose messages do not fit one bit.
+/// adversary of a lane, which the bridge path calls for each faulty
+/// payload of a non-vectorized round.
 pub trait BatchAdversary {
     /// Number of lanes (runs) this adversary drives, `1..=`[`MAX_BATCH_RUNS`].
     fn lanes(&self) -> usize;
@@ -315,8 +303,7 @@ pub trait BatchAdversary {
     }
 
     /// The scalar adversary driving `lane` — the bridge for per-lane
-    /// payload collection (non-vectorized rounds and kernel-internal
-    /// wide rounds).
+    /// payload collection in non-vectorized rounds.
     fn lane(&mut self, lane: usize) -> &mut dyn Adversary;
 }
 
@@ -359,31 +346,14 @@ impl BatchAdversary for ScalarBridge<'_> {
     }
 }
 
-/// What a mixed-width kernel reports for one [`BatchKernel::wide_round`]:
-/// which lanes it executed internally and which lanes must leave the
-/// batch for the scalar engine.
-#[derive(Clone, Copy, Default, Debug)]
-pub struct WideRound {
-    /// Lanes the kernel fully executed this round (outgoing, adversary,
-    /// delivery, and accounting); the driver's narrow bitwise path skips
-    /// them.
-    pub handled: u64,
-    /// Lanes that must retire to the scalar engine (for gear kernels:
-    /// lanes whose correct processors' shift votes diverged, so the
-    /// batch cannot keep a common schedule). The driver removes them
-    /// from the active mask and marks their results
-    /// [`BatchRunResult::deferred`].
-    pub deferred: u64,
-}
-
 /// Protocol semantics for lock-step batch execution: the per-round hooks
 /// a family implements so [`run_batch_with`] can drive up to 64 of its
 /// runs with full-width bitwise ops. All lane-mask state updates must
 /// freeze lanes outside `active` (`new = (active & computed) | (!active
 /// & old)`) so early-stopped runs keep their retirement-time state.
 pub trait BatchKernel {
-    /// Rounds in the worst-case schedule (a hard ceiling; mixed-width
-    /// kernels may retire lanes earlier through [`BatchKernel::finished`]).
+    /// Rounds in the static schedule (lanes may retire earlier through
+    /// early stopping).
     fn total_rounds(&self) -> usize;
 
     /// Resets all lane state for a fresh batch of `lanes` runs.
@@ -391,65 +361,19 @@ pub trait BatchKernel {
 
     /// Local-computation charge per processor for `round` — must equal
     /// the scalar protocol's per-slot `ctx.charge` total, which the king
-    /// family keeps uniform across slots. Kernels with non-uniform or
-    /// internally accounted charges return 0 here and report through
-    /// [`BatchKernel::lane_ops`] instead.
+    /// family keeps uniform across slots.
     fn charge(&self, round: usize) -> u64;
 
     /// Whether `round` emits a preferred-value snapshot (the events the
     /// stability analysis replays to compute lock-in rounds).
     fn snapshot_round(&self, round: usize) -> bool;
 
-    /// Per-lane refinement of [`BatchKernel::snapshot_round`]: the lanes
-    /// for which `round` emits a preference event. The default covers
-    /// uniform-schedule kernels (all lanes or none); mixed-width kernels
-    /// override it because prefix and tail lanes snapshot on different
-    /// rounds.
-    fn snapshot_lanes(&self, round: usize) -> u64 {
-        if self.snapshot_round(round) {
-            !0
-        } else {
-            0
-        }
-    }
-
-    /// Executes the non-bitwise part of `round` for kernels with
-    /// mixed-width schedules (see [`WideRound`]); the default handles
-    /// nothing, which keeps uniform kernels entirely on the narrow path.
-    ///
-    /// Implementations receive the batch's fault-lane tables and the
-    /// [`BatchAdversary`] so they can collect per-lane payloads through
-    /// [`BatchAdversary::lane`] in the scalar call order.
-    fn wide_round(
-        &mut self,
-        round: usize,
-        config: &RunConfig,
-        adversary: &mut dyn BatchAdversary,
-        fault_sets: &[ProcessSet],
-        faulty: &[u64],
-        active: u64,
-    ) -> WideRound {
-        let _ = (round, config, adversary, fault_sets, faulty, active);
-        WideRound::default()
-    }
-
-    /// Lanes whose (possibly dynamically shortened) schedule is complete
-    /// after `round` — the batch counterpart of a unanimous
-    /// [`GearAction::Finished`](crate::GearAction) vote. The driver
-    /// retires them with `rounds_used = round`. Default: none (uniform
-    /// kernels end at [`BatchKernel::total_rounds`]).
-    fn finished(&self, round: usize) -> u64 {
-        let _ = round;
-        0
-    }
-
     /// Classifies every slot's broadcast for `round` into lane masks:
     /// `present[j]` — lanes in which slot `j` sends at all; `one`/`zero`
     /// — lanes in which the sent value is `1`/`0` (present lanes in
     /// neither send `⊥`). Slots are classified independently of fault
     /// status: the engine routes a faulty slot's broadcast to the shadow
-    /// table, exactly like the scalar path. Lanes handled by
-    /// [`BatchKernel::wide_round`] must be left clear.
+    /// table, exactly like the scalar path.
     fn outgoing(&mut self, round: usize, present: &mut [u64], one: &mut [u64], zero: &mut [u64]);
 
     /// Applies one delivered round to all lane state, updating only
@@ -464,36 +388,11 @@ pub trait BatchKernel {
 
     /// Lanes in which `slot` would decide `1` if the run ended now.
     fn decision_one(&self, slot: usize) -> u64;
-
-    /// Honest wire bits accounted internally by the kernel for `lane`
-    /// (mixed-width kernels: the prefix's multi-value payloads), added to
-    /// the driver's narrow-path accounting at finalize. Default 0.
-    fn lane_bits(&self, lane: usize) -> u64 {
-        let _ = lane;
-        0
-    }
-
-    /// Local-computation ops accounted internally by the kernel for
-    /// `lane` (the maximum over processor slots, like the scalar
-    /// engine's `max_local_ops`), added at finalize. Default 0.
-    fn lane_ops(&self, lane: usize) -> u64 {
-        let _ = lane;
-        0
-    }
-
-    /// Fault discoveries recorded for `lane` (the count of `Discovered`
-    /// trace events a scalar run would emit across correct processors).
-    /// Default 0: the king and phase families discover nothing.
-    fn lane_discoveries(&self, lane: usize) -> u64 {
-        let _ = lane;
-        0
-    }
 }
 
 /// One recorded preferred-value snapshot: the round, each slot's
 /// preferred-value lane mask at that point, and which lanes actually
-/// emitted a preference event this round (retired lanes and lanes on a
-/// different sub-schedule must not see it).
+/// were still active this round (retired lanes must not see it).
 struct Snapshot {
     round: usize,
     current: Vec<u64>,
@@ -518,12 +417,11 @@ pub struct BatchRunResult {
     pub total_bits: u64,
     /// Maximum local computation charged to any one processor.
     pub max_local_ops: u64,
-    /// Fault discoveries across correct processors (0 when tracing is
-    /// off, and always 0 for the discovery-free king/phase families).
+    /// Fault discoveries across correct processors: always 0, since the
+    /// king and phase families discover nothing.
     pub discoveries: u64,
-    /// This lane left the batch mid-run (diverging gear votes — see
-    /// [`WideRound::deferred`]); every other field is meaningless and the
-    /// caller must re-run the lane's seed on the scalar engine.
+    /// Always `false`: no kernel defers lanes to the scalar engine any
+    /// more. The field is removed at the next benchmark change.
     pub deferred: bool,
 }
 
@@ -628,9 +526,7 @@ pub fn run_batch(
 }
 
 /// Executes up to [`MAX_BATCH_RUNS`] runs of one configuration in
-/// lock-step. Results land in [`BatchArena::results`], in lane order;
-/// lanes flagged [`BatchRunResult::deferred`] left the batch mid-run and
-/// must be re-run on the scalar engine.
+/// lock-step. Results land in [`BatchArena::results`], in lane order.
 ///
 /// Returns `false` — leaving every lane's scalar adversary unconsumed
 /// and the arena results empty — if any lane's adversary reports edge
@@ -680,65 +576,93 @@ pub fn run_batch_with(
         (1u64 << lanes) - 1
     };
     let mut active = all_lanes;
-    let mut deferred: u64 = 0;
     let src = config.source.index();
 
     let mut round = 0usize;
     while active != 0 && round < total_rounds {
         round += 1;
 
-        // Mixed-width kernels run their wide (non-bitwise) lanes first;
-        // uniform kernels handle nothing and defer nothing.
-        let wide = kernel.wide_round(
-            round,
-            config,
-            adversary,
-            &arena.fault_sets,
-            &arena.faulty,
-            active,
-        );
-        let newly_deferred = wide.deferred & active;
-        deferred |= newly_deferred;
-        active &= !newly_deferred;
-        if active == 0 {
-            break;
+        for buf in [&mut arena.present, &mut arena.one, &mut arena.zero] {
+            buf.iter_mut().for_each(|w| *w = 0);
         }
-        let narrow = active & !wide.handled;
+        kernel.outgoing(round, &mut arena.present, &mut arena.one, &mut arena.zero);
 
-        if narrow != 0 {
-            for buf in [&mut arena.present, &mut arena.one, &mut arena.zero] {
-                buf.iter_mut().for_each(|w| *w = 0);
+        // Accounting: honest bits on the wire (every payload is one value
+        // of one bit, fanned out to n − 1 recipients) and the uniform
+        // per-slot local-op charge.
+        let charge = kernel.charge(round);
+        for j in 0..n {
+            let mut w = arena.present[j] & !arena.faulty[j] & active;
+            while w != 0 {
+                let lane = w.trailing_zeros() as usize;
+                w &= w - 1;
+                arena.total_bits[lane] += (n as u64) - 1;
             }
-            kernel.outgoing(round, &mut arena.present, &mut arena.one, &mut arena.zero);
+        }
+        if charge != 0 {
+            let mut w = active;
+            while w != 0 {
+                let lane = w.trailing_zeros() as usize;
+                w &= w - 1;
+                arena.ops[lane] += charge;
+            }
+        }
 
-            // Accounting: honest bits on the wire (every narrow-path
-            // payload is one value of one bit, fanned out to n − 1
-            // recipients) and the uniform per-slot local-op charge.
-            let charge = kernel.charge(round);
-            for j in 0..n {
-                let mut w = arena.present[j] & !arena.faulty[j] & narrow;
-                while w != 0 {
-                    let lane = w.trailing_zeros() as usize;
-                    w &= w - 1;
-                    arena.total_bits[lane] += (n as u64) - 1;
+        for buf in [&mut arena.net_one, &mut arena.net_zero] {
+            buf.iter_mut().for_each(|w| *w = 0);
+        }
+        if adversary.vectorized() {
+            // The vector path: one call classifies every faulty slot's
+            // payloads for all active lanes at once.
+            let view = LaneView {
+                round,
+                total_rounds,
+                n,
+                t: config.t,
+                source: config.source,
+                source_value: config.source_value,
+                domain: config.domain,
+                present: &arena.present,
+                one: &arena.one,
+                zero: &arena.zero,
+                faulty: &arena.faulty,
+                fault_sets: &arena.fault_sets,
+                active,
+            };
+            adversary.lies(&view, &mut arena.net_one, &mut arena.net_zero);
+        } else {
+            // The rushing adversary bridge: per active lane, materialize
+            // the view (interned payloads, honest and shadow tables split
+            // by that lane's fault set) and collect every faulty sender's
+            // payloads in the scalar call order — faulty senders
+            // ascending, recipients ascending, self skipped.
+            let mut w = active;
+            while w != 0 {
+                let lane = w.trailing_zeros() as usize;
+                w &= w - 1;
+                if arena.fault_sets[lane].is_empty() {
+                    continue;
                 }
-            }
-            if charge != 0 {
-                let mut w = narrow;
-                while w != 0 {
-                    let lane = w.trailing_zeros() as usize;
-                    w &= w - 1;
-                    arena.ops[lane] += charge;
+                let bit = lane_mask(lane);
+                for j in 0..n {
+                    let payload = if arena.present[j] & bit == 0 {
+                        None
+                    } else if arena.one[j] & bit != 0 {
+                        Some(p_one.clone())
+                    } else if arena.zero[j] & bit != 0 {
+                        Some(p_zero.clone())
+                    } else {
+                        Some(p_bot.clone())
+                    };
+                    if arena.faulty[j] & bit != 0 {
+                        arena.view_honest[j] = None;
+                        arena.view_shadow[j] = payload;
+                    } else {
+                        arena.view_honest[j] = payload;
+                        arena.view_shadow[j] = None;
+                    }
                 }
-            }
-
-            for buf in [&mut arena.net_one, &mut arena.net_zero] {
-                buf.iter_mut().for_each(|w| *w = 0);
-            }
-            if adversary.vectorized() {
-                // The vector path: one call classifies every faulty
-                // slot's payloads for all narrow lanes at once.
-                let view = LaneView {
+                let view = AdversaryView {
                     round,
                     total_rounds,
                     n,
@@ -746,113 +670,60 @@ pub fn run_batch_with(
                     source: config.source,
                     source_value: config.source_value,
                     domain: config.domain,
-                    present: &arena.present,
-                    one: &arena.one,
-                    zero: &arena.zero,
-                    faulty: &arena.faulty,
-                    fault_sets: &arena.fault_sets,
-                    active: narrow,
+                    faulty: &arena.fault_sets[lane],
+                    honest_broadcast: &arena.view_honest,
+                    shadow_broadcast: &arena.view_shadow,
+                    sigs: None,
                 };
-                adversary.lies(&view, &mut arena.net_one, &mut arena.net_zero);
-            } else {
-                // The rushing adversary bridge: per active lane,
-                // materialize the view (interned payloads, honest and
-                // shadow tables split by that lane's fault set) and
-                // collect every faulty sender's payloads in the scalar
-                // call order — faulty senders ascending, recipients
-                // ascending, self skipped.
-                let mut w = narrow;
-                while w != 0 {
-                    let lane = w.trailing_zeros() as usize;
-                    w &= w - 1;
-                    if arena.fault_sets[lane].is_empty() {
-                        continue;
-                    }
-                    let bit = lane_mask(lane);
-                    for j in 0..n {
-                        let payload = if arena.present[j] & bit == 0 {
-                            None
-                        } else if arena.one[j] & bit != 0 {
-                            Some(p_one.clone())
-                        } else if arena.zero[j] & bit != 0 {
-                            Some(p_zero.clone())
-                        } else {
-                            Some(p_bot.clone())
-                        };
-                        if arena.faulty[j] & bit != 0 {
-                            arena.view_honest[j] = None;
-                            arena.view_shadow[j] = payload;
-                        } else {
-                            arena.view_honest[j] = payload;
-                            arena.view_shadow[j] = None;
+                let scalar = adversary.lane(lane);
+                for f in arena.fault_sets[lane].iter() {
+                    for r in 0..n {
+                        if r == f.index() {
+                            continue;
                         }
-                    }
-                    let view = AdversaryView {
-                        round,
-                        total_rounds,
-                        n,
-                        t: config.t,
-                        source: config.source,
-                        source_value: config.source_value,
-                        domain: config.domain,
-                        faulty: &arena.fault_sets[lane],
-                        honest_broadcast: &arena.view_honest,
-                        shadow_broadcast: &arena.view_shadow,
-                        sigs: None,
-                    };
-                    let scalar = adversary.lane(lane);
-                    for f in arena.fault_sets[lane].iter() {
-                        for r in 0..n {
-                            if r == f.index() {
-                                continue;
-                            }
-                            let payload = scalar.payload(f, ProcessId(r), &view);
-                            match payload.value_at(0) {
-                                Some(Value(1)) => arena.net_one[f.index() * n + r] |= bit,
-                                Some(Value(0)) => arena.net_zero[f.index() * n + r] |= bit,
-                                _ => {}
-                            }
+                        let payload = scalar.payload(f, ProcessId(r), &view);
+                        match payload.value_at(0) {
+                            Some(Value(1)) => arena.net_one[f.index() * n + r] |= bit,
+                            Some(Value(0)) => arena.net_zero[f.index() * n + r] |= bit,
+                            _ => {}
                         }
                     }
                 }
             }
-
-            // Merge honest broadcasts into the delivered network: in
-            // lanes where a slot is correct its classified outgoing
-            // reaches every recipient unchanged; faulty lanes already
-            // carry the adversary's per-recipient rows.
-            for j in 0..n {
-                let honest_one = arena.one[j] & arena.present[j] & !arena.faulty[j];
-                let honest_zero = arena.zero[j] & arena.present[j] & !arena.faulty[j];
-                for i in 0..n {
-                    if i == j {
-                        arena.net_one[j * n + i] = 0;
-                        arena.net_zero[j * n + i] = 0;
-                    } else {
-                        arena.net_one[j * n + i] |= honest_one;
-                        arena.net_zero[j * n + i] |= honest_zero;
-                    }
-                }
-            }
-
-            let net = BatchNet {
-                n,
-                one: &arena.net_one,
-                zero: &arena.net_zero,
-            };
-            kernel.deliver(round, &net, narrow);
         }
 
-        if config.trace {
-            let snap_lanes = kernel.snapshot_lanes(round) & active;
-            if snap_lanes != 0 {
-                let current: Vec<u64> = (0..n).map(|i| kernel.current_one(i)).collect();
-                arena.snapshots.push(Snapshot {
-                    round,
-                    current,
-                    lanes: snap_lanes,
-                });
+        // Merge honest broadcasts into the delivered network: in lanes
+        // where a slot is correct its classified outgoing reaches every
+        // recipient unchanged; faulty lanes already carry the adversary's
+        // per-recipient rows.
+        for j in 0..n {
+            let honest_one = arena.one[j] & arena.present[j] & !arena.faulty[j];
+            let honest_zero = arena.zero[j] & arena.present[j] & !arena.faulty[j];
+            for i in 0..n {
+                if i == j {
+                    arena.net_one[j * n + i] = 0;
+                    arena.net_zero[j * n + i] = 0;
+                } else {
+                    arena.net_one[j * n + i] |= honest_one;
+                    arena.net_zero[j * n + i] |= honest_zero;
+                }
             }
+        }
+
+        let net = BatchNet {
+            n,
+            one: &arena.net_one,
+            zero: &arena.net_zero,
+        };
+        kernel.deliver(round, &net, active);
+
+        if config.trace && kernel.snapshot_round(round) {
+            let current: Vec<u64> = (0..n).map(|i| kernel.current_one(i)).collect();
+            arena.snapshots.push(Snapshot {
+                round,
+                current,
+                lanes: active,
+            });
         }
 
         // Early stop: retire lanes in which every correct processor is
@@ -875,21 +746,6 @@ pub fn run_batch_with(
             }
             active &= !stop;
         }
-
-        // Dynamic-schedule retirement: lanes whose (shortened) gear
-        // schedule completed this round — the scalar engine's unanimous
-        // `Finished` break, per lane.
-        let fin = kernel.finished(round) & active;
-        if fin != 0 {
-            let mut w = fin;
-            while w != 0 {
-                let lane = w.trailing_zeros() as usize;
-                w &= w - 1;
-                arena.rounds_used[lane] = round;
-                arena.early_stopped[lane] = round < total_rounds;
-            }
-            active &= !fin;
-        }
     }
     {
         let mut w = active;
@@ -902,18 +758,10 @@ pub fn run_batch_with(
 
     // Finalize per lane: decisions, agreement, and the lock-in walk over
     // the recorded snapshots — the same per-processor candidate scan the
-    // stability analysis performs on a scalar trace. Deferred lanes are
-    // only marked; their seeds re-run on the scalar engine.
+    // stability analysis performs on a scalar trace.
     let decisions: Vec<u64> = (0..n).map(|i| kernel.decision_one(i)).collect();
     for lane in 0..lanes {
         let bit = lane_mask(lane);
-        if deferred & bit != 0 {
-            arena.results[lane] = BatchRunResult {
-                deferred: true,
-                ..BatchRunResult::default()
-            };
-            continue;
-        }
         let faulty = &arena.fault_sets[lane];
         let mut agreement = true;
         let mut seen: Option<bool> = None;
@@ -951,13 +799,9 @@ pub fn run_batch_with(
             rounds_used: arena.rounds_used[lane],
             early_stopped: arena.early_stopped[lane],
             lock_in,
-            total_bits: arena.total_bits[lane] + kernel.lane_bits(lane),
-            max_local_ops: arena.ops[lane] + kernel.lane_ops(lane),
-            discoveries: if config.trace {
-                kernel.lane_discoveries(lane)
-            } else {
-                0
-            },
+            total_bits: arena.total_bits[lane],
+            max_local_ops: arena.ops[lane],
+            discoveries: 0,
             deferred: false,
         };
     }

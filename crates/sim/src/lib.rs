@@ -68,7 +68,7 @@ pub use adversary::{Adversary, AdversaryView, NoFaults};
 pub use batch::{
     batch_adversaries_enabled, batch_runs_enabled, run_batch, run_batch_with,
     set_batch_adversaries, set_batch_runs, BatchAdversary, BatchArena, BatchKernel, BatchNet,
-    BatchRunResult, LaneCounts, LaneView, ScalarBridge, WideRound, MAX_BATCH_RUNS,
+    BatchRunResult, LaneCounts, LaneView, ScalarBridge, MAX_BATCH_RUNS,
 };
 pub use engine::{
     early_stopping_enabled, instance_pooling_enabled, packed_broadcast_enabled, run, run_in,

@@ -593,8 +593,13 @@ fn sweep_plan_from_flags(
         FaultSelection::without_source()
     };
     // The actual-fault-budget knob: corrupt only f <= t processors, the
-    // regime where early stopping pays (rounds-vs-f sweeps).
+    // regime where early stopping pays (rounds-vs-f sweeps). Fault
+    // selection would silently clamp a larger f to t, so refuse it here.
     if let Some(f) = parse_usize(flags, "f") {
+        if f > t {
+            eprintln!("--f {f} exceeds the fault bound t = {t}");
+            exit(2);
+        }
         sel = sel.limit(f);
     }
     let adv_name = flags

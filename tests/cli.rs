@@ -364,3 +364,33 @@ fn sweep_over_resilience_exits_2_without_panicking() {
     assert_eq!(stderr.lines().count(), 1, "{stderr}");
     assert!(stderr.contains("phase-king"), "{stderr}");
 }
+
+/// An actual-fault budget above the fault bound is bad input: fault
+/// selection would clamp it to `t` and the sweep would report the
+/// `--f t` grid under a `--f k` command line. `sg sweep` (and `sg
+/// submit`, which builds its plan the same way) exits 2 with one stderr
+/// line naming both numbers.
+#[test]
+fn sweep_fault_budget_above_t_exits_2_without_panicking() {
+    let out = Command::new(env!("CARGO_BIN_EXE_sg"))
+        .args([
+            "sweep",
+            "--alg",
+            "phase-king",
+            "--n",
+            "16",
+            "--t",
+            "3",
+            "--f",
+            "9",
+            "--adversary",
+            "crash",
+        ])
+        .output()
+        .expect("spawn sg");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert_eq!(stderr.lines().count(), 1, "{stderr}");
+    assert!(stderr.contains('9') && stderr.contains('3'), "{stderr}");
+}
